@@ -237,11 +237,11 @@ func BenchmarkCacheSharded(b *testing.B) {
 }
 
 // BenchmarkQueryBatch compares one QueryBatch over 64 queries against 64
-// sequential Query calls on an identically warmed cache — the execution
-// primitive behind gcserved's request coalescer. The batch amortises
-// index-snapshot loads, pool dispatches and statistics round-trips across
-// the whole batch, so batched execution should be no slower than
-// sequential on any machine and faster on multi-core ones.
+// sequential Query calls on an identically warmed cache. Both run the
+// same pipeline — Query is a batch of one — so the difference is what a
+// batch shares: index-snapshot loads, pool dispatches and statistics
+// round-trips. On a 2-CPU Xeon (median of 5 runs) batch-64 took 3.96 ms
+// and sequential-64 4.11 ms, within the host's run-to-run spread.
 func BenchmarkQueryBatch(b *testing.B) {
 	ds := benchDataset()
 	workload := benchQueries(ds, 64)

@@ -17,9 +17,10 @@ import (
 // segments and statistics columns — while answers stay identical at any
 // shard count; see the package documentation's Concurrency and Sharded
 // store layout sections. QueryBatch processes many queries as one unit,
-// amortising index probes, pool dispatches and statistics round-trips
-// across the batch with answers identical to sequential Query calls —
-// the primitive behind the serving subsystem's request coalescer (see
+// sharing index probes, pool dispatches and statistics round-trips
+// across the batch with answers identical to sequential Query calls;
+// Query is the same pipeline on a batch of one. QueryBatch is the
+// primitive behind the serving subsystem's request coalescer (see
 // Server).
 //
 // Cache contents persist across restarts through WriteSnapshot (call on

@@ -134,16 +134,23 @@
 //
 // # Batched execution
 //
-// Cache.QueryBatch processes a slice of queries as one unit: every
-// shard's index snapshot is loaded once per batch and probed in a single
-// pass, the GC containment confirmations and Method-M verifications of
-// all queries flatten into one pooled dispatch per stage, and the whole
-// batch's hit statistics land in a single store round-trip per shard.
-// Answers are exactly those of sequential Query calls — the pruning rules
-// are sound, so answers never depend on cache contents — aligned with the
-// input, id-ordered and deterministic. BenchmarkQueryBatch tracks the
-// amortisation (batched execution is never slower than sequential and
-// wins on multi-core machines).
+// The engine has one query pipeline — GC filter ∥ Method-M filter →
+// pruner → verifier → window, as in the paper's Figure 2 — and it runs
+// on batches. Cache.QueryBatch feeds it a slice of queries; Cache.Query
+// is the same pipeline on a batch of one, counted as a single query
+// (Totals.Batches counts only multi-query calls). Within a batch every
+// shard's index snapshot is loaded once and probed in a single pass, the
+// GC containment confirmations and Method-M verifications of all queries
+// flatten into one pooled dispatch per stage, and the whole batch's hit
+// statistics land in a single store round-trip per shard. When every
+// query of a call is an exact-match hit or an empty-answer shortcut, the
+// call returns without waiting for Method M's filter. Answers are
+// exactly those of sequential Query calls — the pruning rules are sound,
+// so answers never depend on cache contents — aligned with the input,
+// id-ordered and deterministic. BenchmarkQueryBatch compares the two on
+// a warm cache: on a 2-CPU Xeon (median of 5 runs) one batch of 64 took
+// 3.96 ms and 64 Query calls 4.11 ms, a gap smaller than the host's
+// run-to-run spread (3.5–4.4 ms).
 //
 // # Serving over the network
 //

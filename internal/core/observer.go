@@ -2,13 +2,14 @@ package core
 
 // QueryObservation is one query's per-stage telemetry, emitted exactly
 // once per query (single or batched) to the cache's Observer. Stage
-// durations are nanoseconds. On the batched path the GC-stage and
-// verification durations are the same stage-level apportionments
-// QueryStats carries (see QueryBatch), and the finer feature/probe/
-// GC-verify split is the batch-wide wall time divided evenly.
+// durations are nanoseconds. In a multi-query batch (Batched) the
+// GC-stage and verification durations are the same stage-level
+// apportionments QueryStats carries (see QueryBatch), and the finer
+// feature/probe/GC-verify split is the batch-wide wall time divided
+// evenly.
 type QueryObservation struct {
 	Serial  int64
-	Batched bool
+	Batched bool // part of a multi-query call
 
 	// GC filtering stage, split: path-feature extraction, GCindex probe,
 	// and container/containee confirmation sub-iso tests. FeatureNS +
@@ -111,7 +112,7 @@ func (c *Cache) observer() Observer {
 
 // emitQuery sends one query's observation; obs must be non-nil. The
 // fields shared with QueryStats come from the final qs so the emission
-// is a superset of what accumulate() folds into Totals.
+// is a superset of what accumulateBatch folds into Totals.
 func emitQuery(obs Observer, qs *QueryStats, featNS, probeNS, gcvNS int64, credit float64, batched bool) {
 	callsSaved := qs.CandidatesM - qs.CandidatesFinal
 	if callsSaved < 0 || qs.ExactHit || qs.EmptyShortcut {

@@ -191,9 +191,9 @@ func TestApportionBudgets(t *testing.T) {
 		sizes    []int
 		want     []int
 	}{
-		{10, []int{4, 3}, []int{4, 3}},           // fits: keep everything
-		{100, []int{100}, []int{100}},            // single shard: exact cap
-		{8, []int{12}, []int{8}},                 // single shard over: cap
+		{10, []int{4, 3}, []int{4, 3}},            // fits: keep everything
+		{100, []int{100}, []int{100}},             // single shard: exact cap
+		{8, []int{12}, []int{8}},                  // single shard over: cap
 		{10, []int{10, 10}, []int{5, 5}},          // even split
 		{10, []int{15, 5}, []int{8, 2}},           // floors 7+2, fracs tie at .5 → lower index
 		{4, []int{0, 9, 0, 3}, []int{0, 3, 0, 1}}, // empty shards get nothing

@@ -15,13 +15,18 @@ import (
 
 // gatedMethod wraps a Method so every Verify call blocks until the gate
 // channel is closed, letting tests freeze the batch pipeline inside the
-// verification stage.
+// verification stage. While holdFilter is set, Filter calls likewise
+// block until filterGate closes.
 type gatedMethod struct {
 	method.Method
 	gate     chan struct{} // Verify blocks until this closes
 	started  chan struct{} // closed when the first Verify call arrives
 	once     sync.Once
 	verifies atomic.Int32
+
+	holdFilter atomic.Bool
+	filterGate chan struct{} // held Filter calls block until this closes
+	filterHeld atomic.Int32  // Filter calls that blocked on filterGate
 }
 
 func (m *gatedMethod) Verify(q *graph.Graph, id int32) bool {
@@ -29,6 +34,14 @@ func (m *gatedMethod) Verify(q *graph.Graph, id int32) bool {
 	<-m.gate
 	m.verifies.Add(1)
 	return m.Method.Verify(q, id)
+}
+
+func (m *gatedMethod) Filter(q *graph.Graph) []int32 {
+	if m.holdFilter.Load() {
+		m.filterHeld.Add(1)
+		<-m.filterGate
+	}
+	return m.Method.Filter(q)
 }
 
 // batchVerifierMethod upgrades a Method to the BatchVerifier extension,
@@ -223,5 +236,126 @@ func TestQueryBatchStreamCancellation(t *testing.T) {
 	c.Flush()
 	if serials := c.CachedSerials(); len(serials) != 0 {
 		t.Errorf("cancelled batch promoted %d entries into the cache", len(serials))
+	}
+}
+
+// TestQueryBatchStreamCancellationSingle is the client-gone contract for
+// a batch of one: cancelling mid-verification abandons the query's
+// unstarted sub-iso tests, delivers nothing, surfaces context.Canceled
+// and leaves no trace in the cache.
+func TestQueryBatchStreamCancellationSingle(t *testing.T) {
+	ds := moleculeDataset(60, 37)
+	gm := &gatedMethod{
+		Method:  ggsx.New(ds, ggsx.Options{}),
+		gate:    make(chan struct{}),
+		started: make(chan struct{}),
+	}
+	// Two verification workers at most, so a query with three or more
+	// candidates still has unstarted tests when the client goes.
+	c := New(gm, Options{CacheSize: 20, WindowSize: 5, Shards: 2, VerifyConcurrency: 2})
+	var q *graph.Graph
+	most := 0
+	for _, wq := range typeAWorkload(ds, "ZZ", 48, 38) {
+		if n := len(gm.Method.Filter(wq.Graph)); n > most {
+			q, most = wq.Graph, n
+		}
+	}
+	if most < 3 {
+		t.Fatalf("largest candidate set has %d graphs, want >= 3", most)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delivered atomic.Int32
+	type outcome struct {
+		abandoned int
+		err       error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		abandoned, err := c.QueryBatchStream(ctx, []*graph.Graph{q}, func(int, Result) {
+			delivered.Add(1)
+		})
+		done <- outcome{abandoned, err}
+	}()
+
+	select {
+	case <-gm.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("verification never started")
+	}
+	cancel()
+	close(gm.gate)
+
+	out := <-done
+	if !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", out.err)
+	}
+	if out.abandoned == 0 {
+		t.Error("abandoned = 0, want > 0: cancellation must skip unstarted verifications")
+	}
+	if n := delivered.Load(); n != 0 {
+		t.Errorf("delivered %d results for a partially verified query", n)
+	}
+	if got := c.Totals().Queries; got != 0 {
+		t.Errorf("Totals().Queries = %d after a cancelled query, want 0", got)
+	}
+	c.Flush()
+	if serials := c.CachedSerials(); len(serials) != 0 {
+		t.Errorf("cancelled query promoted %d entries into the cache", len(serials))
+	}
+}
+
+// TestQueryBatchExactHitsSkipFilter pins the special-case shortcut
+// (§5.1): a batch whose queries are all exact-match hits is answered
+// without waiting for Method M's filter, which stays blocked for the
+// whole call.
+func TestQueryBatchExactHitsSkipFilter(t *testing.T) {
+	ds := moleculeDataset(40, 39)
+	gm := &gatedMethod{
+		Method:     ggsx.New(ds, ggsx.Options{}),
+		gate:       make(chan struct{}),
+		started:    make(chan struct{}),
+		filterGate: make(chan struct{}),
+	}
+	close(gm.gate) // verification runs freely; only the filter is held
+	c := New(gm, Options{CacheSize: 50, WindowSize: 4, Shards: 2})
+	for _, q := range typeAWorkload(ds, "ZZ", 24, 40) {
+		c.Query(q.Graph)
+	}
+	c.Flush()
+
+	// Cached queries themselves are exact hits for the cache.
+	var qs []*graph.Graph
+	for _, serial := range c.CachedSerials() {
+		g, _, _ := c.CachedEntry(serial)
+		qs = append(qs, g)
+	}
+	if len(qs) < 2 {
+		t.Fatalf("warm-up cached %d queries, want >= 2", len(qs))
+	}
+
+	gm.holdFilter.Store(true)
+	defer close(gm.filterGate)
+	done := make(chan []Result, 1)
+	go func() { done <- c.QueryBatch(qs) }()
+	select {
+	case res := <-done:
+		for i, r := range res {
+			if !r.Stats.ExactHit {
+				t.Errorf("query %d: not an exact hit", i)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a batch of exact hits waited for Method M's filter")
+	}
+	// The filter was dispatched for the batch and is still parked: the
+	// batch returned while it was blocked, not because it never ran.
+	deadline := time.Now().Add(10 * time.Second)
+	for gm.filterHeld.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("Method M's filter was never called for the batch")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -15,7 +15,9 @@ import (
 // have gathered or the window closes, whichever comes first. Under load
 // the routing decision at the service boundary thus amortises filter
 // dispatch and stats application across whole batches; an idle server adds
-// at most maxDelay of latency to a lone query.
+// at most maxDelay of latency to a lone query. With coalescing off
+// (maxSize <= 1 or maxWait <= 0) each query is flushed as a batch of one
+// on its caller's goroutine, so flush is the only call into the engine.
 //
 // Each waiter carries its request context end-to-end: a caller whose
 // context dies while its query is still queued returns immediately, and
@@ -61,10 +63,12 @@ func (co *coalescer) query(ctx context.Context, q *graph.Graph) (core.Result, er
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
-	if co.maxSize <= 1 || co.maxWait <= 0 {
-		return co.cache.Query(q), nil
-	}
 	w := waiter{ctx: ctx, q: q, ch: make(chan core.Result, 1), enq: time.Now()}
+	if co.maxSize <= 1 || co.maxWait <= 0 {
+		// Coalescing is off: the caller flushes its own batch of one.
+		co.flush([]waiter{w})
+		return co.wait(ctx, w)
+	}
 	co.mu.Lock()
 	co.pending = append(co.pending, w)
 	if len(co.pending) >= co.maxSize {
@@ -79,6 +83,11 @@ func (co *coalescer) query(ctx context.Context, q *graph.Graph) (core.Result, er
 		}
 		co.mu.Unlock()
 	}
+	return co.wait(ctx, w)
+}
+
+// wait blocks until w is answered or ctx dies.
+func (co *coalescer) wait(ctx context.Context, w waiter) (core.Result, error) {
 	select {
 	case res := <-w.ch:
 		return res, nil
@@ -142,17 +151,24 @@ func (co *coalescer) flush(batch []waiter) {
 			co.met.coalesceWait.Observe(now.Sub(w.enq).Seconds())
 		}
 	}
-	// Stream the batch so each waiter is answered the moment its own
-	// query completes — a cheap query coalesced next to an expensive one
-	// no longer waits for the whole batch. The composite context cancels
-	// the batch only once every waiter is gone: any one live waiter
-	// still needs every answer to stay sound for its own query.
+	// The composite context cancels the batch only once every waiter is
+	// gone: any one live waiter still needs every answer to stay sound
+	// for its own query. Waiters are answered only after the batch
+	// returns, once its totals are folded, so a client that reads /stats
+	// after its answer always finds its own query counted.
+	results := make([]core.Result, len(live))
 	abandoned, err := co.cache.QueryBatchStream(allWaitersCtx(live), qs, func(i int, r core.Result) {
-		live[i].ch <- r
+		results[i] = r
 	})
-	if err != nil && co.met != nil {
-		co.met.streamCancelled.Inc()
-		co.met.streamAbandoned.Add(float64(abandoned))
+	if err != nil {
+		if co.met != nil {
+			co.met.streamCancelled.Inc()
+			co.met.streamAbandoned.Add(float64(abandoned))
+		}
+		return
+	}
+	for i, w := range live {
+		w.ch <- results[i]
 	}
 }
 

@@ -164,9 +164,9 @@ func (m *serverMetrics) ObserveQuery(o core.QueryObservation) {
 		m.queriesBatch.Inc()
 	} else {
 		m.queriesSingle.Inc()
-		// The finer GC split is only meaningful on the single path; batch
-		// shares are stage-level apportionments already covered by
-		// filter_gc.
+		// The finer GC split is only meaningful for a query run alone;
+		// in a multi-query batch the shares are stage-level
+		// apportionments already covered by filter_gc.
 		m.durFeature.Observe(float64(o.FeatureNS) / nsPerSec)
 		m.durProbe.Observe(float64(o.ProbeNS) / nsPerSec)
 		m.durGCVerify.Observe(float64(o.GCVerifyNS) / nsPerSec)
