@@ -109,9 +109,15 @@
 //     sorted (ID, count) pairs — that is then reused everywhere the query
 //     goes: the index probe in every shard, the shard-routing hash
 //     (computed from per-ID key hashes precomputed at intern time), the
-//     admission window entry and the index delta. The vocabulary grows
-//     monotonically and is bounded by the feature space (label alphabet ^
-//     path length), not by the cache size.
+//     admission window entry and the index delta. Interning costs
+//     O(new features): known features resolve under a read lock and only
+//     a query's unseen ones are appended under the write lock. The
+//     vocabulary is never pruned and grows with every distinct feature
+//     the queries carry, not just up to a warm-up point: a stream of
+//     unrelated queries keeps adding 15–25 per query (about 150k features
+//     after 15 s of perfbench's cold-batch workload on 2 CPUs). Only the
+//     feature space (label alphabet ^ path length) bounds it, not the
+//     cache size.
 //
 //   - Columnar postings. Each indexed query occupies a slot, slots are
 //     assigned in ascending-serial order, and each feature ID owns an

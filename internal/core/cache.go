@@ -40,8 +40,8 @@ type Cache struct {
 	opts Options
 	// vocab interns path-feature keys to the dense feature IDs the
 	// columnar GCindex layout is built on. Shared by all shards; grows
-	// monotonically with the feature space (bounded by the label alphabet
-	// and MaxPathLen).
+	// with every distinct feature the queries carry, at a cost per query
+	// proportional to its new features.
 	vocab *pathfeat.Vocab
 	// algo verifies sub/supergraph relations between the new query and
 	// cached queries (small-vs-small tests). Stateless and shared by all

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // FeatCount is one entry of a feature vector: a dense feature ID and its
@@ -24,20 +23,14 @@ type Vector []FeatCount
 // Vocab interns path-feature Keys to dense uint32 feature IDs. IDs are
 // assigned in first-intern order, start at 0 and are never reused, so they
 // index directly into columnar structures. A Vocab is safe for concurrent
-// use and lock-free for readers: the whole vocabulary lives in an
-// immutable snapshot swapped atomically, so steady-state queries (whose
-// features are all interned already) never touch a lock — only genuinely
-// new features take the writer mutex and publish a copied snapshot. The
-// vocabulary grows monotonically and is bounded by the feature space
-// (label sequences of bounded length over the dataset's label alphabet),
-// so the copy-on-write cost is confined to warm-up.
+// use. Known features resolve under a read lock; new ones are appended
+// under the write lock, at a cost proportional to the new features only —
+// the map and key columns are never copied. The vocabulary is never
+// pruned and grows with every distinct feature it is given: on a stream
+// of unrelated queries it keeps growing rather than settling after a
+// warm-up.
 type Vocab struct {
-	mu   sync.Mutex // serialises writers only
-	snap atomic.Pointer[vocabSnap]
-}
-
-// vocabSnap is one immutable vocabulary generation.
-type vocabSnap struct {
+	mu      sync.RWMutex
 	ids     map[Key]uint32
 	keys    []Key
 	keyHash []uint64 // keyBytesHash of each key, by ID
@@ -45,101 +38,82 @@ type vocabSnap struct {
 
 // NewVocab returns an empty vocabulary.
 func NewVocab() *Vocab {
-	v := &Vocab{}
-	v.snap.Store(&vocabSnap{ids: map[Key]uint32{}})
-	return v
+	return &Vocab{ids: map[Key]uint32{}}
 }
 
 // Len returns the number of interned features.
-func (v *Vocab) Len() int { return len(v.snap.Load().keys) }
+func (v *Vocab) Len() int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return len(v.keys)
+}
 
 // Intern returns the feature ID of k, assigning the next free ID on first
 // sight.
 func (v *Vocab) Intern(k Key) uint32 {
-	if id, ok := v.snap.Load().ids[k]; ok {
+	if id, ok := v.Lookup(k); ok {
 		return id
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	s := v.snap.Load()
-	if id, ok := s.ids[k]; ok { // lost the race to another writer
+	return v.internLocked(k)
+}
+
+// internLocked returns the ID of k, assigning the next one if k is new.
+// The caller holds v.mu for writing; k may have been interned by another
+// writer since the caller's read-locked lookup missed it.
+func (v *Vocab) internLocked(k Key) uint32 {
+	if id, ok := v.ids[k]; ok {
 		return id
 	}
-	next := s.grow(1)
-	id := next.intern(k)
-	v.snap.Store(next)
-	return id
-}
-
-// grow returns a mutable copy of the snapshot with room for n more
-// features. Only writers holding v.mu call it; the copy is published with
-// a single atomic store once complete.
-func (s *vocabSnap) grow(n int) *vocabSnap {
-	next := &vocabSnap{
-		ids:     make(map[Key]uint32, len(s.ids)+n),
-		keys:    append(make([]Key, 0, len(s.keys)+n), s.keys...),
-		keyHash: append(make([]uint64, 0, len(s.keyHash)+n), s.keyHash...),
-	}
-	for k, id := range s.ids {
-		next.ids[k] = id
-	}
-	return next
-}
-
-// intern assigns the next ID to k in a private (not yet published) copy.
-func (s *vocabSnap) intern(k Key) uint32 {
-	id := uint32(len(s.keys))
-	s.ids[k] = id
-	s.keys = append(s.keys, k)
-	s.keyHash = append(s.keyHash, keyBytesHash(k))
+	id := uint32(len(v.keys))
+	v.ids[k] = id
+	v.keys = append(v.keys, k)
+	v.keyHash = append(v.keyHash, keyBytesHash(k))
 	return id
 }
 
 // Lookup returns the ID of k without interning, and whether it is known.
 func (v *Vocab) Lookup(k Key) (uint32, bool) {
-	id, ok := v.snap.Load().ids[k]
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	id, ok := v.ids[k]
 	return id, ok
 }
 
 // KeyOf returns the Key interned under id, and whether id is assigned.
 func (v *Vocab) KeyOf(id uint32) (Key, bool) {
-	s := v.snap.Load()
-	if int(id) >= len(s.keys) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	if int(id) >= len(v.keys) {
 		return "", false
 	}
-	return s.keys[id], true
+	return v.keys[id], true
 }
 
 // VectorOf interns every feature of c and returns the equivalent Vector,
-// sorted by ascending feature ID. At steady state — every feature already
-// interned — the conversion is lock-free; new features are interned in one
-// batched snapshot swap.
+// sorted by ascending feature ID. Known features resolve in one read-locked
+// pass; only the misses take the write lock.
 func (v *Vocab) VectorOf(c Counts) Vector {
 	if len(c) == 0 {
 		return nil
 	}
 	vec := make(Vector, 0, len(c))
 	var missing []Key
-	s := v.snap.Load()
+	v.mu.RLock()
 	for k, n := range c {
-		if id, ok := s.ids[k]; ok {
+		if id, ok := v.ids[k]; ok {
 			vec = append(vec, FeatCount{ID: id, Count: n})
 		} else {
 			missing = append(missing, k)
 		}
 	}
+	v.mu.RUnlock()
 	if len(missing) > 0 {
 		v.mu.Lock()
-		s = v.snap.Load()
-		next := s.grow(len(missing))
 		for _, k := range missing {
-			id, ok := next.ids[k] // interned by a racing writer meanwhile?
-			if !ok {
-				id = next.intern(k)
-			}
-			vec = append(vec, FeatCount{ID: id, Count: c[k]})
+			vec = append(vec, FeatCount{ID: v.internLocked(k), Count: c[k]})
 		}
-		v.snap.Store(next)
 		v.mu.Unlock()
 	}
 	slices.SortFunc(vec, func(a, b FeatCount) int { return cmp.Compare(a.ID, b.ID) })
@@ -149,23 +123,24 @@ func (v *Vocab) VectorOf(c Counts) Vector {
 // CountsOf converts a Vector built against this vocabulary back to the
 // equivalent Counts map (for tests and debugging).
 func (v *Vocab) CountsOf(vec Vector) Counts {
-	s := v.snap.Load()
 	c := make(Counts, len(vec))
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	for _, fc := range vec {
-		c[s.keys[fc.ID]] = fc.Count
+		c[v.keys[fc.ID]] = fc.Count
 	}
 	return c
 }
 
 // HashVector returns the same order-independent hash Hash computes over
 // the equivalent Counts map — per-feature key hashes are precomputed at
-// intern time, so hashing a vector touches no key bytes and takes no
-// lock.
+// intern time, so hashing a vector touches no key bytes.
 func (v *Vocab) HashVector(vec Vector) uint64 {
-	s := v.snap.Load()
 	var h uint64
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	for _, fc := range vec {
-		h ^= mixPair(s.keyHash[fc.ID], fc.Count)
+		h ^= mixPair(v.keyHash[fc.ID], fc.Count)
 	}
 	return h
 }
